@@ -14,8 +14,7 @@ from repro.bench import bench_scale, format_table
 from repro.comm import make_communicator
 from repro.core import (BlockRowDistribution, Dist2DSparseMatrix,
                         DistDenseMatrix, DistSparseMatrix, Grid2D, ProcessGrid,
-                        spmm_15d_sparsity_aware, spmm_1d_sparsity_aware,
-                        spmm_2d_sparsity_aware)
+                        spmm)
 from repro.graphs import gcn_normalize, load_dataset
 from repro.graphs.adjacency import permutation_from_parts, symmetric_permutation
 from repro.partition import get_partitioner
@@ -47,7 +46,7 @@ def run_layout_comparison(scale: float, seed: int = 0):
     matrix = DistSparseMatrix(permuted, dist)
     dense = DistDenseMatrix.from_global(h, dist)
     comm = make_communicator(P, backend="sim", machine=MACHINE)
-    out_1d = spmm_1d_sparsity_aware(matrix, dense, comm)
+    out_1d = spmm(matrix, dense, comm, algorithm="1d", sparsity_aware=True)
     np.testing.assert_allclose(out_1d.to_global(), permuted @ h, atol=1e-8)
     stats = comm.stats.summary()
     rows.append({"layout": "1D", "exchanged_MB": stats["total_MB"],
@@ -61,7 +60,8 @@ def run_layout_comparison(scale: float, seed: int = 0):
     dense15 = DistDenseMatrix.from_global(h, dist15)
     grid15 = ProcessGrid(nranks=P, replication=c)
     comm15 = make_communicator(P, backend="sim", machine=MACHINE)
-    out_15d = spmm_15d_sparsity_aware(matrix15, dense15, grid15, comm15)
+    out_15d = spmm(matrix15, dense15, comm15, algorithm="1.5d",
+                   sparsity_aware=True, grid=grid15)
     np.testing.assert_allclose(out_15d.to_global(), permuted15 @ h, atol=1e-8)
     stats15 = comm15.stats.summary()
     rows.append({"layout": "1.5D (c=2)", "exchanged_MB": stats15["total_MB"],
@@ -73,7 +73,8 @@ def run_layout_comparison(scale: float, seed: int = 0):
     permuted2d, _ = _partitioned(dataset.adjacency, 4, seed)
     matrix2d = Dist2DSparseMatrix.uniform(permuted2d, grid2d)
     comm2d = make_communicator(P, backend="sim", machine=MACHINE)
-    out_2d = spmm_2d_sparsity_aware(matrix2d, h, grid2d, comm2d)
+    out_2d = spmm(matrix2d, h, comm2d, algorithm="2d", sparsity_aware=True,
+                  grid=grid2d)
     np.testing.assert_allclose(out_2d, permuted2d @ h, atol=1e-8)
     stats2d = comm2d.stats.summary()
     rows.append({"layout": "2D (4x4)", "exchanged_MB": stats2d["total_MB"],

@@ -1,23 +1,17 @@
 #!/usr/bin/env python
 """Record the BENCH_kernels.json microbenchmark baseline.
 
-Three measurements, all host wall-clock (best of ``--repeats`` timed
-runs after one warm-up):
+Four measurements.  The timed ones are host wall-clock (best of
+``--repeats`` timed runs after one warm-up); the ``sim`` ones compare
+simulated clocks or exact byte counts:
 
-* **scatter-add vs segment-sum** — the local ``csr_spmm`` kernel (the
-  cuSPARSE ``csrmm2`` stand-in) implemented with ``np.add.at`` (the
-  pre-PR-4 formulation, reproduced inline here as the reference) against
-  the shipped ``np.add.reduceat`` segment-sum, same operands.  The
-  acceptance bar for the segment-sum rewrite is >= 1.5x.
 * **compiled vs uncompiled epoch** — one epoch's worth of distributed
-  1D sparsity-aware SpMMs through ``repro.core.engine``: per-call
-  compile-and-run dispatch against a persistent
+  1D sparsity-aware SpMMs through ``repro.core.engine``: one-shot
+  ``spmm`` calls, which compile a plan per call, against a persistent
   :class:`~repro.core.engine.CompiledSpmm` plan, on the ``sim`` backend
   (pure host-side cost; the simulated clocks are identical by
   construction) and on the real ``process`` backend (where the plan
   additionally exercises the shared-memory replay fast path).
-* **float32 vs float64** — the segment-sum ``csr_spmm`` at both
-  precisions (bandwidth-bound, so ~2x is the ceiling).
 * **overlapped vs synchronous epoch** — the same compiled 1D oblivious
   epoch with ``pipeline_depth=2`` (nonblocking prefetch of the next
   broadcast step + the process backend's grouped-copy latency protocol)
@@ -65,7 +59,6 @@ from repro.core.engine import DenseSpec, compile as compile_spmm, spmm  # noqa: 
 from repro.graphs import gcn_normalize                          # noqa: E402
 from repro.graphs.datasets import load_dataset                  # noqa: E402
 from repro.graphs.generators import erdos_renyi_graph           # noqa: E402
-from repro.sparse import kernels                                # noqa: E402
 
 
 def best_of(fn, repeats: int) -> float:
@@ -76,60 +69,6 @@ def best_of(fn, repeats: int) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-def scatter_add_spmm(indptr, indices, data, dense):
-    """The pre-segment-sum formulation (np.add.at), kept as the baseline
-    this benchmark measures against."""
-    out = np.zeros((indptr.size - 1, dense.shape[1]), dtype=np.float64)
-    contrib = data[:, None] * dense[indices]
-    np.add.at(out, kernels.expand_indptr(indptr), contrib)
-    return out
-
-
-def bench_local_kernel(n: int, avg_degree: int, widths, repeats: int) -> dict:
-    """Per-width scatter-add vs segment-sum vs float32 cells.
-
-    The widths are the ones GCN training actually propagates at (class
-    counts and the hidden width); the narrower the operand, the more the
-    reduction primitive dominates over the shared contribution gather.
-    """
-    adj = gcn_normalize(erdos_renyi_graph(n, avg_degree=avg_degree, seed=0))
-    rng = np.random.default_rng(0)
-    indptr = adj.indptr.astype(np.int64)
-    indices = adj.indices.astype(np.int64)
-    data64 = adj.data
-    data32 = adj.data.astype(np.float32)
-
-    cells = []
-    for width in widths:
-        dense64 = rng.normal(size=(n, width))
-        dense32 = dense64.astype(np.float32)
-        t_scatter = best_of(
-            lambda: scatter_add_spmm(indptr, indices, data64, dense64),
-            repeats)
-        t_segment = best_of(
-            lambda: kernels.csr_spmm(indptr, indices, data64, dense64),
-            repeats)
-        t_segment32 = best_of(
-            lambda: kernels.csr_spmm(indptr, indices, data32, dense32,
-                                     dtype=np.float32), repeats)
-        cells.append({
-            "width": width,
-            "scatter_add_s": t_scatter,
-            "segment_sum_s": t_segment,
-            "segment_sum_float32_s": t_segment32,
-            "segment_vs_scatter_speedup": t_scatter / t_segment,
-            "float32_vs_float64_speedup": t_segment / t_segment32,
-        })
-    return {
-        "n": n, "nnz": int(adj.nnz),
-        "cells": cells,
-        "segment_vs_scatter_speedup": float(np.mean(
-            [c["segment_vs_scatter_speedup"] for c in cells])),
-        "float32_vs_float64_speedup": float(np.mean(
-            [c["float32_vs_float64_speedup"] for c in cells])),
-    }
 
 
 def bench_compiled_epoch(n: int, avg_degree: int, widths, p: int,
@@ -295,7 +234,8 @@ def bench_grad_wire_volume(scale: float, p: int, layers: int,
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        description="record the kernel/compiled-epoch microbenchmarks")
+        description="record the compiled-epoch, overlap and gradient-exchange "
+                    "microbenchmarks")
     parser.add_argument("--output", "-o", default=str(REPO_ROOT /
                                                       "BENCH_kernels.json"))
     parser.add_argument("--quick", action="store_true",
@@ -311,9 +251,6 @@ def main(argv=None) -> int:
     repeats = args.repeats if args.repeats is not None else (3 if quick else 5)
 
     start = time.time()
-    kernel = bench_local_kernel(n=4000 if quick else 20000,
-                                avg_degree=12 if quick else 16,
-                                widths=(4, 8, 16), repeats=repeats)
     # The trainer's per-epoch SpMM widths for the default 3-layer GCN at
     # hidden=16 over a feature width of 32: forward f_0, 16, 16 and
     # backward 16, 16, n_classes collapse onto these distinct widths.
@@ -343,7 +280,6 @@ def main(argv=None) -> int:
         "repeats": repeats,
         # Host wall-clock: hardware dependent, compare ratios not cells.
         "deterministic": False,
-        "local_csr_spmm": kernel,
         "compiled_epoch_sim": epoch_sim,
         "compiled_epoch_process": epoch_process,
         # Overlapped (pipeline_depth=2) vs synchronous compiled epoch.
@@ -361,9 +297,6 @@ def main(argv=None) -> int:
     out_path = pathlib.Path(args.output)
     out_path.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {out_path}")
-    print(f"  segment-sum vs scatter-add: "
-          f"{kernel['segment_vs_scatter_speedup']:.2f}x "
-          f"(float32 vs float64: {kernel['float32_vs_float64_speedup']:.2f}x)")
     print(f"  compiled vs uncompiled epoch (sim):     "
           f"{epoch_sim['compiled_speedup']:.2f}x")
     print(f"  compiled vs uncompiled epoch (process): "

@@ -4,27 +4,30 @@ Graph Neural Network Training" (Mukhodopadhyay et al., ICPP 2024).
 The package is organised as:
 
 * :mod:`repro.core`      — sparsity-aware / oblivious 1D, 1.5D and 2D
-  distributed SpMM, the distributed GCN trainer built on them (the paper's
-  contribution), the closed-form alpha-beta cost model and the per-rank
-  memory/OOM model;
+  distributed SpMM behind one engine registry of compiled variants, the
+  distributed GCN trainer built on them (the paper's contribution),
+  gradient exchange, checkpoints, the closed-form alpha-beta cost model
+  and the per-rank memory/OOM model;
 * :mod:`repro.comm`      — pluggable multi-rank communicator backends
   behind one :class:`~repro.comm.Communicator` interface (deterministic
-  alpha-beta simulation, real shared-memory worker threads; network
-  topologies, collectives, per-rank clocks, event log, Chrome-trace
-  export) — see ``docs/backends.md``;
-* :mod:`repro.sparse`    — from-scratch COO/CSR kernels and blocked NnzCols
-  analysis (the cuSPARSE stand-in, independent of scipy);
+  alpha-beta simulation, worker threads, one OS process per rank with
+  shared-memory transport), fault injection, machine models, collective
+  cost formulas, per-rank clocks and the event log — see
+  ``docs/backends.md``;
 * :mod:`repro.partition` — random/block, METIS-like, GVB-like, spectral,
   label-propagation and column-net hypergraph partitioners plus quality
   metrics;
 * :mod:`repro.graphs`    — synthetic stand-ins for the paper's datasets,
-  adjacency utilities, features and I/O;
-* :mod:`repro.gcn`       — the single-process reference GCN / GraphSAGE,
-  optimisers, schedules and regularisation (the correctness baseline and
-  accuracy-side extensions);
+  adjacency utilities and features;
+* :mod:`repro.gcn`       — the single-process reference GCN, the
+  correctness baseline of the distributed trainer;
 * :mod:`repro.plan`      — the autotuning planner: cost-model ranking +
   empirical probes over variants, backends, partitioners and replication
   factors, with a persisted plan cache (``docs/tuning.md``);
+* :mod:`repro.serve`     — inference serving with warm compiled plans,
+  dynamic micro-batching and supervised recovery (``docs/serving.md``);
+* :mod:`repro.obs`       — span tracing, Perfetto export and the metrics
+  registry (``docs/observability.md``);
 * :mod:`repro.bench`     — the experiment harness regenerating every table
   and figure of the paper plus the ablation studies;
 * :mod:`repro.cli`       — the ``python -m repro`` command-line interface.
@@ -44,10 +47,7 @@ from .comm import (Communicator, MachineModel, available_backends,
                    make_communicator, perlmutter)
 from .core import (Algorithm, DistTrainConfig, DistTrainResult, DistributedGCN,
                    ProcessGrid, SpmmEngine, setup_distributed,
-                   single_spmm_volume_table, spmm,
-                   spmm_1d_oblivious, spmm_1d_sparsity_aware,
-                   spmm_15d_oblivious, spmm_15d_sparsity_aware,
-                   train_distributed)
+                   single_spmm_volume_table, spmm, train_distributed)
 from .gcn import GCNModel, ReferenceTrainConfig, train_reference
 from .graphs import GraphDataset, load_dataset
 from .plan import ExecutionPlan, PlanCache, Planner, resolve_config
@@ -61,9 +61,7 @@ __all__ = [
     "perlmutter",
     "Algorithm", "DistTrainConfig", "DistTrainResult", "DistributedGCN",
     "ProcessGrid", "SpmmEngine", "setup_distributed",
-    "single_spmm_volume_table", "spmm",
-    "spmm_1d_oblivious", "spmm_1d_sparsity_aware",
-    "spmm_15d_oblivious", "spmm_15d_sparsity_aware", "train_distributed",
+    "single_spmm_volume_table", "spmm", "train_distributed",
     "GCNModel", "ReferenceTrainConfig", "train_reference",
     "GraphDataset", "load_dataset",
     "ExecutionPlan", "PlanCache", "Planner", "resolve_config",

@@ -9,7 +9,6 @@ from .experiments import (ablation_balance_constraint, ablation_crossover,
                           figure4_1d_breakdown, figure5_papers_breakdown,
                           figure6_partitioner_comparison, figure7_15d_scaling,
                           table2_metis_comm_stats, table3_dataset_stats)
-from .figures import ascii_bar_chart, ascii_line_plot, save_results, write_csv
 from .harness import (STANDARD_SCHEMES, Scheme, run_scheme_grid, run_single,
                       speedup_table)
 from .reporting import format_kv, format_series, format_table
@@ -22,7 +21,6 @@ __all__ = [
     "figure3_1d_scaling", "figure4_1d_breakdown", "figure5_papers_breakdown",
     "figure6_partitioner_comparison", "figure7_15d_scaling",
     "table2_metis_comm_stats", "table3_dataset_stats",
-    "ascii_bar_chart", "ascii_line_plot", "save_results", "write_csv",
     "STANDARD_SCHEMES", "Scheme", "run_scheme_grid", "run_single",
     "speedup_table",
     "format_kv", "format_series", "format_table",

@@ -17,12 +17,16 @@ swappable communicator backends behind one abstract interface:
 * :mod:`repro.comm.faults`      — deterministic fault injection
   (:class:`FaultPlan`) and the structured :class:`WorkerFailure` every
   backend raises when a rank is lost,
-* :mod:`repro.comm.machine`     — alpha-beta machine models (Perlmutter preset),
+* :mod:`repro.comm.machine`     — alpha-beta machine models (``perlmutter``,
+  ``perlmutter-scaled`` and ``laptop`` presets),
 * :mod:`repro.comm.events`      — per-message event log,
 * :mod:`repro.comm.timeline`    — per-rank clocks and category attribution,
 * :mod:`repro.comm.collectives` — cost formulas for collectives,
 * :mod:`repro.comm.tracker`     — volume/timing statistics used by the
-  benchmark harness.
+  benchmark harness,
+* :mod:`repro.comm.trace`       — the sim-only Chrome-trace renderer that
+  :func:`repro.obs.save_trace` falls back to for a sim run without
+  recorded spans.
 
 See ``docs/backends.md`` for how to pick a backend and how to add one.
 """
@@ -40,9 +44,6 @@ from .process import ProcessPoolCommunicator
 from .simulator import SimCommunicator
 from .threaded import ThreadedCommunicator
 from .timeline import Timeline, WAIT_CATEGORY
-from .topology import (DragonflyTopology, FatTreeTopology, FlatTopology,
-                       NetworkTopology, TOPOLOGIES, TopologyMachine,
-                       Torus2DTopology, get_topology, make_topology_machine)
 from .trace import (OverlapReport, chrome_trace, overlap_analysis,
                     save_chrome_trace)
 from .tracker import CommStats, VolumeStats, volume_stats_from_send_bytes
@@ -74,15 +75,6 @@ __all__ = [
     "SimCommunicator",
     "Timeline",
     "WAIT_CATEGORY",
-    "NetworkTopology",
-    "FlatTopology",
-    "FatTreeTopology",
-    "Torus2DTopology",
-    "DragonflyTopology",
-    "TopologyMachine",
-    "TOPOLOGIES",
-    "get_topology",
-    "make_topology_machine",
     "OverlapReport",
     "chrome_trace",
     "overlap_analysis",

@@ -37,10 +37,8 @@ __all__ = [
 def _group_link(machine: MachineModel, ranks: Sequence[int]) -> tuple[float, float]:
     """Slowest (alpha, beta) link present within a group of ranks.
 
-    Uses :meth:`MachineModel.link` pairwise so that topology-aware machines
-    (:class:`repro.comm.topology.TopologyMachine`) price their collectives
-    by the weakest link on the fabric; for the flat presets this reduces to
-    the intra-/inter-node distinction.
+    A group confined to one node uses the intra-node link; otherwise the
+    worst :meth:`MachineModel.link` over all pairs of the group.
     """
     ranks = list(ranks)
     if len(ranks) <= 1:

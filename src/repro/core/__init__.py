@@ -24,10 +24,8 @@ from .gradsync import (GRAD_DTYPES, DeferredScalar, GradientExchanger,
 from .memory import (MemoryEstimate, estimate_rank_memory,
                      feasible_process_counts, fits_in_memory)
 from .nnzcols import BlockColumnInfo, nnz_columns_per_block, split_block_row
-from .spmm_1d import spmm_1d_oblivious, spmm_1d_sparsity_aware
-from .spmm_15d import ProcessGrid, spmm_15d_oblivious, spmm_15d_sparsity_aware
-from .spmm_2d import (Dist2DSparseMatrix, Grid2D, spmm_2d_oblivious,
-                      spmm_2d_sparsity_aware)
+from .spmm_15d import ProcessGrid
+from .spmm_2d import Dist2DSparseMatrix, Grid2D
 from .trainer import (DistEpochRecord, DistributedSetup, DistTrainResult,
                       setup_distributed, train_distributed)
 
@@ -51,10 +49,7 @@ __all__ = [
     "MemoryEstimate", "estimate_rank_memory", "feasible_process_counts",
     "fits_in_memory",
     "BlockColumnInfo", "nnz_columns_per_block", "split_block_row",
-    "spmm_1d_oblivious", "spmm_1d_sparsity_aware",
-    "ProcessGrid", "spmm_15d_oblivious", "spmm_15d_sparsity_aware",
-    "Grid2D", "Dist2DSparseMatrix", "spmm_2d_oblivious",
-    "spmm_2d_sparsity_aware",
+    "ProcessGrid", "Grid2D", "Dist2DSparseMatrix",
     "DistEpochRecord", "DistributedSetup", "DistTrainResult",
     "setup_distributed", "train_distributed",
 ]

@@ -6,15 +6,18 @@ in :mod:`~repro.core.spmm_1d` / :mod:`~repro.core.spmm_15d` /
 :mod:`~repro.core.spmm_2d` and to the concrete simulator class.  The
 engine collapses that duplication into one seam:
 
-* an **algorithm registry** keyed by
-  ``{"1d", "1.5d", "2d"} x {"oblivious", "sparsity_aware"}`` — the
-  algorithm modules self-register via :func:`register_spmm`, and future
-  variants (2.5D, 3D, ...) plug in the same way;
+* one **registry of compiled variants** keyed by
+  ``{"1d", "1.5d", "2d"} x {"oblivious", "sparsity_aware"}`` — each
+  algorithm module decorates its :class:`CompiledSpmm` subclasses with
+  :func:`register_spmm`, and future variants (2.5D, 3D, ...) plug in the
+  same way;
 * **common operand-compatibility checks** (:func:`check_block_operands`,
   :func:`check_grid_operands`, :func:`check_grid2d_operands`) shared by
   all algorithm implementations;
 * **dispatch** (:func:`spmm`, :class:`SpmmEngine`) that works with any
-  :class:`~repro.comm.base.Communicator` backend — simulated or real;
+  :class:`~repro.comm.base.Communicator` backend — simulated or real; a
+  one-shot call validates the operands, compiles the variant's class and
+  calls it once;
 * **compiled execution** (:func:`compile`, :class:`CompiledSpmm`): the
   plan/execute split.  Compiling a variant against one matrix and one
   dense operand shape precomputes every piece of per-call metadata the
@@ -44,16 +47,16 @@ Typical use::
 
 Compiled results are views into the operator's reused workspaces: they
 stay valid until the operator's next call (see ``docs/performance.md``
-for the lifetime rules).  The compiled path executes the exact same
-communication and accounting sequence as the uncompiled one, so results,
-event logs and simulated timings are bitwise identical — the conformance
-suite asserts this for every (variant x backend) pair.
+for the lifetime rules).  A reused plan executes the exact same
+communication and accounting sequence as a fresh one-shot call, so
+results, event logs and simulated timings are bitwise identical — the
+conformance suite asserts this for every (variant x backend) pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
@@ -64,8 +67,7 @@ __all__ = [
     "CompiledOpCache", "CompiledSpmm", "DenseSpec", "MODES", "SpmmEngine",
     "SpmmReport", "SpmmVariant", "available_spmm_variants",
     "check_block_operands", "check_grid_operands", "check_grid2d_operands",
-    "compile", "get_spmm", "mode_name", "register_spmm",
-    "register_spmm_compiler", "spmm",
+    "compile", "get_spmm", "mode_name", "register_spmm", "spmm",
 ]
 
 #: The two communication modes the paper compares.
@@ -129,11 +131,14 @@ def check_grid2d_operands(matrix, h, grid, comm: Communicator) -> None:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SpmmVariant:
-    """One registered (algorithm family, sparsity mode) implementation."""
+    """One registered (algorithm family, sparsity mode) compiled variant.
+
+    ``cls`` is the variant's :class:`CompiledSpmm` subclass; compiling the
+    variant instantiates it."""
 
     algorithm: str
     mode: str
-    fn: Callable
+    cls: Type["CompiledSpmm"]
     needs_grid: bool
     description: str = ""
 
@@ -144,10 +149,6 @@ class SpmmVariant:
 
 _REGISTRY: Dict[Tuple[str, str], SpmmVariant] = {}
 
-#: Per-variant compiler callables: (algorithm, mode) ->
-#: ``fn(matrix, spec, comm, grid, **categories) -> CompiledSpmm``.
-_COMPILERS: Dict[Tuple[str, str], Callable] = {}
-
 
 def mode_name(sparsity_aware: bool) -> str:
     """Registry mode key for a boolean sparsity flag."""
@@ -156,23 +157,25 @@ def mode_name(sparsity_aware: bool) -> str:
 
 def register_spmm(algorithm: str, mode: str, needs_grid: bool = False,
                   description: str = "") -> Callable:
-    """Decorator: register an SpMM kernel under ``(algorithm, mode)``.
+    """Class decorator: register a :class:`CompiledSpmm` subclass as the
+    ``(algorithm, mode)`` variant.
 
-    Kernels without a grid are called as ``fn(matrix, dense, comm, **kw)``;
-    grid kernels as ``fn(matrix, dense, grid, comm, **kw)``.
+    The class is instantiated as ``cls(variant, matrix, spec, comm,
+    grid=..., pipeline_depth=..., **categories)``; grid variants
+    (``needs_grid=True``) always receive a grid, the others never do.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
-    def decorate(fn: Callable) -> Callable:
+    def decorate(cls: type) -> type:
         key = (algorithm, mode)
         if key in _REGISTRY:
             raise ValueError(f"SpMM variant {key} is already registered")
-        _REGISTRY[key] = SpmmVariant(algorithm=algorithm, mode=mode, fn=fn,
+        summary = (cls.__doc__ or "").strip().split("\n")[0]
+        _REGISTRY[key] = SpmmVariant(algorithm=algorithm, mode=mode, cls=cls,
                                      needs_grid=needs_grid,
-                                     description=description or
-                                     (fn.__doc__ or "").strip().split("\n")[0])
-        return fn
+                                     description=description or summary)
+        return cls
 
     return decorate
 
@@ -201,27 +204,14 @@ def get_spmm(algorithm: str, sparsity_aware: bool = True,
             f"available: {sorted(_REGISTRY)}") from None
 
 
-def register_spmm_compiler(algorithm: str, mode: str) -> Callable:
-    """Decorator: register the compiler of an SpMM variant.
-
-    The decorated callable is invoked as
-    ``fn(variant, matrix, spec, comm, grid=..., **categories)`` and must
-    return a :class:`CompiledSpmm`.  Variants without a registered
-    compiler fall back to a generic (plan-free) wrapper in
-    :func:`compile`.
-    """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-    def decorate(fn: Callable) -> Callable:
-        key = (algorithm, mode)
-        if key in _COMPILERS:
-            raise ValueError(f"an SpMM compiler for {key} is already "
-                             f"registered")
-        _COMPILERS[key] = fn
-        return fn
-
-    return decorate
+def _check_grid_arg(variant: SpmmVariant, grid) -> None:
+    """A grid variant needs a grid; a gridless one must not get one."""
+    if variant.needs_grid and grid is None:
+        raise ValueError(f"the {variant.algorithm} algorithm requires a "
+                         f"process grid")
+    if not variant.needs_grid and grid is not None:
+        raise ValueError(f"the {variant.algorithm} algorithm does not take "
+                         f"a process grid")
 
 
 # ----------------------------------------------------------------------
@@ -261,10 +251,9 @@ class DenseSpec:
 class CompiledSpmm:
     """A persistent execution plan for one (matrix, dense-spec, variant).
 
-    Subclasses (one per registered variant) precompute all exchange
-    metadata at construction and own the reused workspaces; ``__call__``
-    runs one SpMM with the same communication/accounting sequence as the
-    uncompiled kernel.
+    Subclasses (one per registered variant, see :func:`register_spmm`)
+    precompute all exchange metadata at construction and own the reused
+    workspaces; ``__call__`` only moves data and multiplies.
 
     Workspace lifetime rule: the returned result aliases the operator's
     output workspace and is only valid until the **next** call of the same
@@ -291,6 +280,16 @@ class CompiledSpmm:
         self.grid = grid
         self.pipeline_depth = _check_pipeline_depth(pipeline_depth)
         self.calls = 0
+
+    @classmethod
+    def check_operands(cls, matrix, dense, comm: Communicator, grid=None):
+        """Validate a one-shot call's actual operands before anything is
+        compiled or sent, and return the dense operand to run on.
+
+        :func:`spmm` and :meth:`SpmmEngine.run` call this first.  Variants
+        override it with their family's operand check (and any operand
+        coercion); the default accepts the operand unchanged."""
+        return dense
 
     # Subclasses implement the hot path.
     def _execute(self, dense):  # pragma: no cover - abstract
@@ -353,32 +352,13 @@ class CompiledSpmm:
 class SpecOperandProbe:
     """Distribution/width stand-in for a dense operand.
 
-    Lets the per-variant compilers reuse :func:`check_block_operands` /
+    Lets the compiled variants reuse :func:`check_block_operands` /
     :func:`check_grid_operands` at compile time, when only the
     :class:`DenseSpec` — not an actual dense matrix — is available."""
 
     def __init__(self, matrix, spec: DenseSpec) -> None:
         self.dist = matrix.dist
         self.width = spec.width
-
-
-class _FallbackCompiled(CompiledSpmm):
-    """Plan-free wrapper for variants without a registered compiler."""
-
-    def __init__(self, variant, matrix, spec, comm, grid=None,
-                 pipeline_depth: int = 1, **categories) -> None:
-        # The fallback has no stage schedule to pipeline; the knob is
-        # validated and recorded, then ignored (synchronous execution).
-        super().__init__(variant, matrix, spec, comm, grid=grid,
-                         pipeline_depth=pipeline_depth)
-        self._categories = categories
-
-    def _execute(self, dense):
-        if self.variant.needs_grid:
-            return self.variant.fn(self.matrix, dense, self.grid, self.comm,
-                                   **self._categories)
-        return self.variant.fn(self.matrix, dense, self.comm,
-                               **self._categories)
 
 
 def compile(matrix, dense_spec, comm: Communicator, algorithm: str = "1d",
@@ -398,22 +378,11 @@ def compile(matrix, dense_spec, comm: Communicator, algorithm: str = "1d",
     see the :class:`CompiledSpmm` docstring and ``docs/performance.md``).
     """
     variant = get_spmm(algorithm, sparsity_aware=sparsity_aware, mode=mode)
-    if variant.needs_grid and grid is None:
-        raise ValueError(f"the {variant.algorithm} algorithm requires a "
-                         f"process grid")
-    if not variant.needs_grid and grid is not None:
-        raise ValueError(f"the {variant.algorithm} algorithm does not take "
-                         f"a process grid")
+    _check_grid_arg(variant, grid)
     if isinstance(dense_spec, (int, np.integer)):
         dense_spec = DenseSpec(width=int(dense_spec))
-    pipeline_depth = _check_pipeline_depth(pipeline_depth)
-    compiler = _COMPILERS.get(variant.key)
-    if compiler is None:
-        return _FallbackCompiled(variant, matrix, dense_spec, comm,
-                                 grid=grid, pipeline_depth=pipeline_depth,
-                                 **categories)
-    return compiler(variant, matrix, dense_spec, comm, grid=grid,
-                    pipeline_depth=pipeline_depth, **categories)
+    return variant.cls(variant, matrix, dense_spec, comm, grid=grid,
+                       pipeline_depth=pipeline_depth, **categories)
 
 
 class CompiledOpCache:
@@ -524,7 +493,7 @@ class SpmmReport:
 
 def spmm(matrix, dense, comm: Communicator, algorithm: str = "1d",
          sparsity_aware: bool = True, grid=None, **categories):
-    """Dispatch ``Z = M H`` to the registered (algorithm, mode) kernel.
+    """One-shot ``Z = M H`` on the registered (algorithm, mode) variant.
 
     ``matrix`` / ``dense`` are the family's operand types
     (:class:`~repro.core.dist_matrix.DistSparseMatrix` +
@@ -532,18 +501,25 @@ def spmm(matrix, dense, comm: Communicator, algorithm: str = "1d",
     :class:`~repro.core.spmm_2d.Dist2DSparseMatrix` + a NumPy array for
     2D).  Grid algorithms require the matching ``grid`` object
     (:class:`~repro.core.spmm_15d.ProcessGrid` or
-    :class:`~repro.core.spmm_2d.Grid2D`).
+    :class:`~repro.core.spmm_2d.Grid2D`).  ``**categories`` override the
+    variant's accounting categories (e.g. ``comm_category="alltoall"``).
+
+    The operands are checked before anything is sent, then the variant is
+    compiled for this operand and called once.  Repeated multiplies with
+    one matrix should :func:`compile` once and reuse the plan instead.
     """
     variant = get_spmm(algorithm, sparsity_aware=sparsity_aware)
-    if variant.needs_grid:
-        if grid is None:
-            raise ValueError(
-                f"the {variant.algorithm} algorithm requires a process grid")
-        return variant.fn(matrix, dense, grid, comm, **categories)
-    if grid is not None:
-        raise ValueError(
-            f"the {variant.algorithm} algorithm does not take a process grid")
-    return variant.fn(matrix, dense, comm, **categories)
+    return _run_once(variant, matrix, dense, comm, grid, categories)
+
+
+def _run_once(variant: SpmmVariant, matrix, dense, comm: Communicator,
+              grid, categories: Dict[str, str]):
+    """Check, compile for ``dense``'s spec, call once."""
+    _check_grid_arg(variant, grid)
+    dense = variant.cls.check_operands(matrix, dense, comm, grid)
+    op = variant.cls(variant, matrix, DenseSpec.like(dense), comm, grid=grid,
+                     **categories)
+    return op(dense)
 
 
 class SpmmEngine:
@@ -558,12 +534,7 @@ class SpmmEngine:
                  sparsity_aware: bool = True, grid=None) -> None:
         self.comm = comm
         self.variant = get_spmm(algorithm, sparsity_aware=sparsity_aware)
-        if self.variant.needs_grid and grid is None:
-            raise ValueError(
-                f"the {algorithm} algorithm requires a process grid")
-        if not self.variant.needs_grid and grid is not None:
-            raise ValueError(
-                f"the {algorithm} algorithm does not take a process grid")
+        _check_grid_arg(self.variant, grid)
         self.grid = grid
         self.last_report: Optional[SpmmReport] = None
 
@@ -576,11 +547,10 @@ class SpmmEngine:
         return self.variant.mode
 
     def run(self, matrix, dense, **categories):
-        """Execute ``Z = M H`` on this engine's communicator."""
-        if self.variant.needs_grid:
-            return self.variant.fn(matrix, dense, self.grid, self.comm,
-                                   **categories)
-        return self.variant.fn(matrix, dense, self.comm, **categories)
+        """One-shot ``Z = M H`` on this engine's communicator (see
+        :func:`spmm`)."""
+        return _run_once(self.variant, matrix, dense, self.comm, self.grid,
+                         categories)
 
     def compile(self, matrix, dense_spec, pipeline_depth: int = 1,
                 **categories) -> CompiledSpmm:

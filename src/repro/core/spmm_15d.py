@@ -12,13 +12,13 @@ processes of a grid *column* each stage (a column broadcast); the
 sparsity-aware variant (Algorithm 2 of the paper) sends only the rows
 selected by ``NnzCols`` with point-to-point messages.
 
-Both variants are implemented as **compiled operators**
-(:class:`~repro.core.engine.CompiledSpmm`): the staged broadcast /
-point-to-point schedules, gather index sets and flop charges are derived
-once at compile time, and the pack buffers plus per-replica partial-sum
-accumulators are reused across calls.  The registered functions
-(``("1.5d", "oblivious")`` / ``("1.5d", "sparsity_aware")``) are thin
-compile-and-run-once wrappers.  They run against any
+Both variants are **compiled operators**
+(:class:`~repro.core.engine.CompiledSpmm`) registered with
+:mod:`repro.core.engine` under ``("1.5d", "oblivious")`` /
+``("1.5d", "sparsity_aware")``: the staged broadcast / point-to-point
+schedules, gather index sets and flop charges are derived once at compile
+time, and the pack buffers plus per-replica partial-sum accumulators are
+reused across calls.  They run against any
 :class:`~repro.comm.base.Communicator` backend; per-rank compute goes
 through :meth:`~repro.comm.base.Communicator.parallel_for`.
 """
@@ -37,11 +37,9 @@ from ..comm.base import Communicator
 from ..obs.tracer import TRACE
 from .dist_matrix import BlockRowDistribution, DistDenseMatrix, DistSparseMatrix
 from .engine import (CompiledSpmm, DenseSpec, SpecOperandProbe,
-                     check_grid_operands, register_spmm,
-                     register_spmm_compiler)
+                     check_grid_operands, register_spmm)
 
-__all__ = ["Compiled15DOblivious", "Compiled15DSparsityAware", "ProcessGrid",
-           "spmm_15d_oblivious", "spmm_15d_sparsity_aware"]
+__all__ = ["Compiled15DOblivious", "Compiled15DSparsityAware", "ProcessGrid"]
 
 
 @dataclass(frozen=True)
@@ -124,6 +122,11 @@ class _Compiled15DBase(CompiledSpmm):
         self._row_groups = [grid.row_group(i) for i in range(grid.nrows)]
         self._dense: Optional[DistDenseMatrix] = None
 
+    @classmethod
+    def check_operands(cls, matrix, dense, comm: Communicator, grid=None):
+        check_grid_operands(matrix, dense, grid, comm)
+        return dense
+
     def _zero_partials(self) -> None:
         for row in self._partial:
             for block in row:
@@ -142,8 +145,11 @@ class _Compiled15DBase(CompiledSpmm):
         return dense.like(out_blocks)
 
 
+@register_spmm("1.5d", "oblivious", needs_grid=True,
+               description="CAGNET 1.5D: staged column broadcasts")
 class Compiled15DOblivious(_Compiled15DBase):
-    """Persistent plan for the CAGNET 1.5D staged-broadcast algorithm."""
+    """Persistent plan for the CAGNET 1.5D staged-broadcast algorithm
+    (the CAGNET / Koanantakool sparsity-oblivious baseline)."""
 
     def __init__(self, variant, matrix: DistSparseMatrix, spec: DenseSpec,
                  comm: Communicator, grid: ProcessGrid = None,
@@ -259,8 +265,15 @@ class Compiled15DOblivious(_Compiled15DBase):
                              "peer": current[2], "pipelined": True})
 
 
+@register_spmm("1.5d", "sparsity_aware", needs_grid=True,
+               description="Algorithm 2: staged NnzCols point-to-point")
 class Compiled15DSparsityAware(_Compiled15DBase):
     """Persistent plan for Algorithm 2 (staged NnzCols point-to-point).
+
+    Per stage, the owner of the consumed block row sends each process of
+    its grid column only the rows that process's ``NnzCols`` selects
+    (non-blocking sends / blocking receives in the paper; a batched
+    point-to-point exchange here).
 
     Compile-time work: per (stage, col) the packed gather index sets, the
     reused pack buffers the point-to-point messages alias, the diagonal
@@ -279,8 +292,8 @@ class Compiled15DSparsityAware(_Compiled15DBase):
         f = spec.width
         dtype = spec.dtype
         # Per stage: pack[col] = (q, src, [(idx, buf, nelem)]) in
-        # destination order; messages = [(src, dst, buf)] in the same
-        # col-major order the uncompiled kernel builds them; mult[rank] =
+        # destination order; messages = [(src, dst, buf)] in col-major
+        # order (the order the sim event log is recorded in); mult[rank] =
         # (compact, rows_ref, flops) or None, where rows_ref is either a
         # pack buffer or ("diag", q, idx, buf).
         self._stages: List[dict] = []
@@ -413,62 +426,3 @@ class Compiled15DSparsityAware(_Compiled15DBase):
             if tr.enabled:
                 tr.add_span("driver", "spmm.stage", "spmm", t0,
                             perf_counter(), {"stage": k, "pipelined": True})
-
-
-@register_spmm_compiler("1.5d", "oblivious")
-def compile_15d_oblivious(variant, matrix, spec, comm, grid=None,
-                          **categories) -> Compiled15DOblivious:
-    return Compiled15DOblivious(variant, matrix, spec, comm, grid=grid,
-                                **categories)
-
-
-@register_spmm_compiler("1.5d", "sparsity_aware")
-def compile_15d_sparsity_aware(variant, matrix, spec, comm, grid=None,
-                               **categories) -> Compiled15DSparsityAware:
-    return Compiled15DSparsityAware(variant, matrix, spec, comm, grid=grid,
-                                    **categories)
-
-
-@register_spmm("1.5d", "oblivious", needs_grid=True,
-               description="CAGNET 1.5D: staged column broadcasts")
-def spmm_15d_oblivious(matrix: DistSparseMatrix, dense: DistDenseMatrix,
-                       grid: ProcessGrid, comm: Communicator,
-                       compute_category: str = "local",
-                       comm_category: str = "bcast",
-                       reduce_category: str = "allreduce") -> DistDenseMatrix:
-    """Sparsity-oblivious 1.5D SpMM (CAGNET / Koanantakool baseline).
-
-    Compile-and-run-once wrapper around :class:`Compiled15DOblivious`.
-    """
-    check_grid_operands(matrix, dense, grid, comm)
-    op = Compiled15DOblivious(None, matrix, DenseSpec.like(dense), comm,
-                              grid=grid, compute_category=compute_category,
-                              comm_category=comm_category,
-                              reduce_category=reduce_category)
-    return op(dense)
-
-
-@register_spmm("1.5d", "sparsity_aware", needs_grid=True,
-               description="Algorithm 2: staged NnzCols point-to-point")
-def spmm_15d_sparsity_aware(matrix: DistSparseMatrix, dense: DistDenseMatrix,
-                            grid: ProcessGrid, comm: Communicator,
-                            compute_category: str = "local",
-                            comm_category: str = "alltoall",
-                            reduce_category: str = "allreduce"
-                            ) -> DistDenseMatrix:
-    """Sparsity-aware 1.5D SpMM (Algorithm 2 of the paper).
-
-    Per stage, the owner of the consumed block row sends each process of
-    its grid column only the rows that process's ``NnzCols`` selects
-    (non-blocking sends / blocking receives in the paper; a batched
-    point-to-point exchange here).
-
-    Compile-and-run-once wrapper around :class:`Compiled15DSparsityAware`.
-    """
-    check_grid_operands(matrix, dense, grid, comm)
-    op = Compiled15DSparsityAware(None, matrix, DenseSpec.like(dense), comm,
-                                  grid=grid,
-                                  compute_category=compute_category,
-                                  comm_category=comm_category,
-                                  reduce_category=reduce_category)
-    return op(dense)

@@ -13,19 +13,17 @@ distribution over ``P`` processes.
   only the rows of ``H`` selected by ``NnzCols(i, j)`` with a single
   all-to-allv, then multiplies the *compacted* blocks with the packed rows.
 
-Both variants are implemented as **compiled operators**
-(:class:`~repro.core.engine.CompiledSpmm`): the per-call metadata (which
-rows to pack for whom, which blocks are empty, the flop charges) is
-derived once at compile time and the pack/output buffers are reused across
-calls, which is what lets one plan serve hundreds of training epochs.  The
-plain functions registered with :mod:`repro.core.engine` under
-``("1d", "oblivious")`` / ``("1d", "sparsity_aware")`` are thin
-compile-and-run-once wrappers, so one-shot callers see identical
-behaviour.  The functions return only the distributed result; all
-communication volume and timing is recorded on the
-:class:`~repro.comm.base.Communicator` they run on, and per-rank compute
-runs through :meth:`~repro.comm.base.Communicator.parallel_for` —
-sequential under the simulator, genuinely parallel under real backends.
+Both variants are **compiled operators**
+(:class:`~repro.core.engine.CompiledSpmm`) registered with
+:mod:`repro.core.engine` under ``("1d", "oblivious")`` /
+``("1d", "sparsity_aware")``: the per-call metadata (which rows to pack
+for whom, which blocks are empty, the flop charges) is derived once at
+compile time and the pack/output buffers are reused across calls, which is
+what lets one plan serve hundreds of training epochs.  One-shot callers go
+through :func:`repro.core.engine.spmm`.  A call returns only the
+distributed result; all communication volume and timing is recorded on
+the :class:`~repro.comm.base.Communicator` it runs on, and per-rank compute
+runs through :meth:`~repro.comm.base.Communicator.parallel_for`.
 """
 
 from __future__ import annotations
@@ -40,15 +38,37 @@ from ..comm.base import Communicator
 from ..obs.tracer import TRACE
 from .dist_matrix import DistDenseMatrix, DistSparseMatrix
 from .engine import (CompiledSpmm, DenseSpec, SpecOperandProbe,
-                     check_block_operands, register_spmm,
-                     register_spmm_compiler)
+                     check_block_operands, register_spmm)
 
-__all__ = ["Compiled1DOblivious", "Compiled1DSparsityAware",
-           "spmm_1d_oblivious", "spmm_1d_sparsity_aware"]
+__all__ = ["Compiled1DOblivious", "Compiled1DSparsityAware"]
 
 
-class Compiled1DOblivious(CompiledSpmm):
+class _Compiled1DBase(CompiledSpmm):
+    """Shared 1D state: the block-row operand check and the categories."""
+
+    def __init__(self, variant, matrix: DistSparseMatrix, spec: DenseSpec,
+                 comm: Communicator, grid, compute_category: str,
+                 comm_category: str, pipeline_depth: int = 1) -> None:
+        super().__init__(variant, matrix, spec, comm, grid=grid,
+                         pipeline_depth=pipeline_depth)
+        check_block_operands(matrix, SpecOperandProbe(matrix, spec), comm)
+        self.compute_category = compute_category
+        self.comm_category = comm_category
+
+    @classmethod
+    def check_operands(cls, matrix, dense, comm: Communicator, grid=None):
+        check_block_operands(matrix, dense, comm)
+        return dense
+
+
+@register_spmm("1d", "oblivious",
+               description="CAGNET 1D: block-row broadcasts")
+class Compiled1DOblivious(_Compiled1DBase):
     """Persistent plan for the CAGNET 1D broadcast algorithm.
+
+    Every process broadcasts its entire ``H`` block row; receivers multiply
+    their full-width local blocks against it.  Bandwidth therefore does not
+    shrink with ``P`` — the behaviour Figure 3 shows for the CAGNET curves.
 
     Compile-time work: materialise every full-width block (they are built
     lazily by the NnzCols analysis), record the nonzero blocks and their
@@ -67,11 +87,8 @@ class Compiled1DOblivious(CompiledSpmm):
                  compute_category: str = "local",
                  comm_category: str = "bcast",
                  pipeline_depth: int = 1) -> None:
-        super().__init__(variant, matrix, spec, comm, grid=grid,
-                         pipeline_depth=pipeline_depth)
-        check_block_operands(matrix, SpecOperandProbe(matrix, spec), comm)
-        self.compute_category = compute_category
-        self.comm_category = comm_category
+        super().__init__(variant, matrix, spec, comm, grid, compute_category,
+                         comm_category, pipeline_depth=pipeline_depth)
         p = comm.nranks
         f = spec.width
         # steps[j][i] = (full_csr, flops) for rank i's block at broadcast
@@ -150,8 +167,15 @@ class Compiled1DOblivious(CompiledSpmm):
                             {"stage": j, "peer": j, "pipelined": True})
 
 
-class Compiled1DSparsityAware(CompiledSpmm):
+@register_spmm("1d", "sparsity_aware",
+               description="Algorithm 1: NnzCols-packed all-to-allv")
+class Compiled1DSparsityAware(_Compiled1DBase):
     """Persistent plan for Algorithm 1 (NnzCols-packed all-to-allv).
+
+    Process ``j`` packs, for every destination ``i``, the rows of its
+    ``H_j`` selected by ``NnzCols(i, j)``; a single all-to-allv moves all
+    packed segments; each receiver multiplies its compacted blocks against
+    the packed rows it received.
 
     Compile-time work: the per-destination gather index sets, the fixed
     ``send`` structure of the all-to-allv (rows aliased to reused pack
@@ -168,11 +192,8 @@ class Compiled1DSparsityAware(CompiledSpmm):
         # Algorithm 1 issues a single un-staged all-to-allv per call, so
         # there is no stage schedule to double-buffer; the knob is
         # accepted (and validated) for API uniformity and ignored.
-        super().__init__(variant, matrix, spec, comm, grid=grid,
-                         pipeline_depth=pipeline_depth)
-        check_block_operands(matrix, SpecOperandProbe(matrix, spec), comm)
-        self.compute_category = compute_category
-        self.comm_category = comm_category
+        super().__init__(variant, matrix, spec, comm, grid, compute_category,
+                         comm_category, pipeline_depth=pipeline_depth)
         p = comm.nranks
         f = spec.width
         dtype = spec.dtype
@@ -272,60 +293,3 @@ class Compiled1DSparsityAware(CompiledSpmm):
         self._dense = None
         self._recv = None
         return dense.like(self._out)
-
-
-@register_spmm_compiler("1d", "oblivious")
-def compile_1d_oblivious(variant, matrix, spec, comm, grid=None,
-                         **categories) -> Compiled1DOblivious:
-    return Compiled1DOblivious(variant, matrix, spec, comm, grid=grid,
-                               **categories)
-
-
-@register_spmm_compiler("1d", "sparsity_aware")
-def compile_1d_sparsity_aware(variant, matrix, spec, comm, grid=None,
-                              **categories) -> Compiled1DSparsityAware:
-    return Compiled1DSparsityAware(variant, matrix, spec, comm, grid=grid,
-                                   **categories)
-
-
-@register_spmm("1d", "oblivious",
-               description="CAGNET 1D: block-row broadcasts")
-def spmm_1d_oblivious(matrix: DistSparseMatrix, dense: DistDenseMatrix,
-                      comm: Communicator,
-                      compute_category: str = "local",
-                      comm_category: str = "bcast") -> DistDenseMatrix:
-    """Sparsity-oblivious 1D SpMM (the CAGNET baseline).
-
-    Every process broadcasts its entire ``H`` block row; receivers multiply
-    their full-width local blocks against it.  Bandwidth therefore does not
-    shrink with ``P`` — the behaviour Figure 3 shows for the CAGNET curves.
-
-    Compile-and-run-once wrapper around :class:`Compiled1DOblivious`.
-    """
-    check_block_operands(matrix, dense, comm)
-    op = Compiled1DOblivious(None, matrix, DenseSpec.like(dense), comm,
-                             compute_category=compute_category,
-                             comm_category=comm_category)
-    return op(dense)
-
-
-@register_spmm("1d", "sparsity_aware",
-               description="Algorithm 1: NnzCols-packed all-to-allv")
-def spmm_1d_sparsity_aware(matrix: DistSparseMatrix, dense: DistDenseMatrix,
-                           comm: Communicator,
-                           compute_category: str = "local",
-                           comm_category: str = "alltoall") -> DistDenseMatrix:
-    """Sparsity-aware 1D SpMM (Algorithm 1 of the paper).
-
-    Process ``j`` packs, for every destination ``i``, the rows of its
-    ``H_j`` selected by ``NnzCols(i, j)``; a single all-to-allv moves all
-    packed segments; each receiver multiplies its compacted blocks against
-    the packed rows it received.
-
-    Compile-and-run-once wrapper around :class:`Compiled1DSparsityAware`.
-    """
-    check_block_operands(matrix, dense, comm)
-    op = Compiled1DSparsityAware(None, matrix, DenseSpec.like(dense), comm,
-                                 compute_category=compute_category,
-                                 comm_category=comm_category)
-    return op(dense)

@@ -19,16 +19,15 @@ ablation benchmarks can reproduce that comparison:
   its column peers only the ``H_j`` rows selected by the nonzero columns of
   its local block (``NnzCols(i, j)`` restricted to the peer's chunk).
 
-Both variants are implemented as **compiled operators**
-(:class:`~repro.core.engine.CompiledSpmm`).  2D is where the plan/execute
-split pays the most: the uncompiled sparsity-aware kernel re-derived the
-per-peer gather index sets *and* re-sliced the column-compacted blocks
-``A^T_{ij}[:, NnzCols]`` on every call; compiled, both are built once and
-only ``np.take`` gathers, the exchange and the multiplies remain.  The
-registered functions (``("2d", "oblivious")`` / ``("2d",
-"sparsity_aware")``) are compile-and-run-once wrappers.  Both variants
-return the result in the same ``pr``-block-row layout as 1D/1.5D results
-so they can be checked against ``A @ H`` directly (the engine is how the
+Both variants are **compiled operators**
+(:class:`~repro.core.engine.CompiledSpmm`) registered with
+:mod:`repro.core.engine` under ``("2d", "oblivious")`` /
+``("2d", "sparsity_aware")``.  The per-peer gather index sets and the
+column-compacted blocks ``A^T_{ij}[:, NnzCols]`` are built once at compile
+time, so per call only ``np.take`` gathers, the exchange and the
+multiplies remain.  Both variants return the result in the same
+``pr``-block-row layout as 1D/1.5D results so they can be checked
+against ``A @ H`` directly (the engine is how the
 ablation benchmarks reach them — the GCN trainer itself sticks to 1D/1.5D,
 mirroring the paper which evaluates 2D only at the SpMM level).
 """
@@ -48,11 +47,10 @@ from ..comm.base import Communicator
 from ..obs.tracer import TRACE
 from .dist_matrix import BlockRowDistribution
 from .engine import (CompiledSpmm, DenseSpec, check_grid2d_operands,
-                     register_spmm, register_spmm_compiler)
+                     register_spmm)
 
 __all__ = ["Grid2D", "Dist2DSparseMatrix", "Compiled2DOblivious",
-           "Compiled2DSparsityAware", "spmm_2d_oblivious",
-           "spmm_2d_sparsity_aware"]
+           "Compiled2DSparsityAware"]
 
 
 @dataclass(frozen=True)
@@ -181,6 +179,17 @@ class _Compiled2DBase(CompiledSpmm):
                             for i in range(grid.nrows)]
         self._out = np.empty((matrix.shape[0], spec.width), dtype=spec.dtype)
 
+    @classmethod
+    def check_operands(cls, matrix, h, comm: Communicator, grid=None):
+        """Promote integer/bool operands to float64 (a floating dtype is
+        kept, so single-precision operands run single-precision end to
+        end), then check the grid, rank count and row count."""
+        h = np.asarray(h)
+        if h.dtype.kind != "f":
+            h = h.astype(np.float64)
+        check_grid2d_operands(matrix, h, grid, comm)
+        return h
+
     def _check_dense(self, dense) -> None:
         super()._check_dense(dense)
         if dense.shape[0] != self.matrix.shape[1]:
@@ -232,8 +241,11 @@ class _Compiled2DBase(CompiledSpmm):
                 out[lo:hi] = reduced[0]
 
 
+@register_spmm("2d", "oblivious", needs_grid=True,
+               description="2D SUMMA: column all-gather + row all-reduce")
 class Compiled2DOblivious(_Compiled2DBase):
-    """Persistent plan for the sparsity-oblivious 2D SUMMA algorithm."""
+    """Persistent plan for the sparsity-oblivious 2D SUMMA algorithm
+    (column all-gather + row all-reduce)."""
 
     def __init__(self, variant, matrix: Dist2DSparseMatrix, spec: DenseSpec,
                  comm: Communicator, grid: Grid2D = None,
@@ -321,14 +333,16 @@ class Compiled2DOblivious(_Compiled2DBase):
         return out
 
 
+@register_spmm("2d", "sparsity_aware", needs_grid=True,
+               description="2D SUMMA with NnzCols-restricted column exchange")
 class Compiled2DSparsityAware(_Compiled2DBase):
-    """Persistent plan for the sparsity-aware 2D SUMMA algorithm.
+    """Persistent plan for the sparsity-aware 2D SUMMA algorithm: column
+    peers exchange only the rows the receiver's block needs.
 
-    The expensive per-call metadata of the uncompiled kernel — the
-    per-peer restriction of ``NnzCols`` to chunk ranges and the column
-    compaction ``block[:, needed]`` — is all hoisted to compile time; the
-    per-peer payloads become views into one packed gather buffer per
-    block, filled by a single ``np.take``.
+    The per-peer restriction of ``NnzCols`` to chunk ranges and the column
+    compaction ``block[:, needed]`` are built at compile time; the
+    per-peer payloads are views into one packed gather buffer per block,
+    filled by a single ``np.take``.
     """
 
     def __init__(self, variant, matrix: Dist2DSparseMatrix, spec: DenseSpec,
@@ -345,8 +359,8 @@ class Compiled2DSparsityAware(_Compiled2DBase):
         dtype = spec.dtype
         # Per (i, j): the packed gather (global H row indices + buffer) and
         # the compacted block; the exchange messages alias segments of the
-        # packed buffers, in the same (j, i, r) order as the uncompiled
-        # kernel builds them.
+        # packed buffers, in (j, i, r) order (the order the sim event log
+        # and the BENCH rows were recorded in).
         self._packed: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
         self._messages: List[Tuple[int, int, np.ndarray]] = []
         self._pack_charges: List[Tuple[int, float]] = []
@@ -428,71 +442,3 @@ class Compiled2DSparsityAware(_Compiled2DBase):
             tr.add_span("driver", "spmm.stage", "spmm", t0, perf_counter(),
                         {"phase": "reduce"})
         return out
-
-
-@register_spmm_compiler("2d", "oblivious")
-def compile_2d_oblivious(variant, matrix, spec, comm, grid=None,
-                         **categories) -> Compiled2DOblivious:
-    return Compiled2DOblivious(variant, matrix, spec, comm, grid=grid,
-                               **categories)
-
-
-@register_spmm_compiler("2d", "sparsity_aware")
-def compile_2d_sparsity_aware(variant, matrix, spec, comm, grid=None,
-                              **categories) -> Compiled2DSparsityAware:
-    return Compiled2DSparsityAware(variant, matrix, spec, comm, grid=grid,
-                                   **categories)
-
-
-@register_spmm("2d", "oblivious", needs_grid=True,
-               description="2D SUMMA: column all-gather + row all-reduce")
-def spmm_2d_oblivious(matrix: Dist2DSparseMatrix, h: np.ndarray, grid: Grid2D,
-                      comm: Communicator,
-                      compute_category: str = "local",
-                      gather_category: str = "bcast",
-                      reduce_category: str = "allreduce") -> np.ndarray:
-    """Sparsity-oblivious 2D SpMM (column all-gather + row all-reduce).
-
-    Compile-and-run-once wrapper around :class:`Compiled2DOblivious`.
-    """
-    h = _coerce_dense(h)
-    op = Compiled2DOblivious(None, matrix, DenseSpec.like(h), comm,
-                             grid=grid, compute_category=compute_category,
-                             gather_category=gather_category,
-                             reduce_category=reduce_category)
-    return op(h)
-
-
-@register_spmm("2d", "sparsity_aware", needs_grid=True,
-               description="2D SUMMA with NnzCols-restricted column exchange")
-def spmm_2d_sparsity_aware(matrix: Dist2DSparseMatrix, h: np.ndarray,
-                           grid: Grid2D, comm: Communicator,
-                           compute_category: str = "local",
-                           comm_category: str = "alltoall",
-                           reduce_category: str = "allreduce") -> np.ndarray:
-    """Sparsity-aware 2D SpMM: column peers exchange only needed rows.
-
-    Compile-and-run-once wrapper around :class:`Compiled2DSparsityAware`.
-    """
-    h = _coerce_dense(h)
-    op = Compiled2DSparsityAware(None, matrix, DenseSpec.like(h), comm,
-                                 grid=grid,
-                                 compute_category=compute_category,
-                                 comm_category=comm_category,
-                                 reduce_category=reduce_category)
-    return op(h)
-
-
-def _coerce_dense(h: np.ndarray) -> np.ndarray:
-    """Coerce non-float inputs to float64.
-
-    Intentional contract change from the pre-compiled wrappers, which
-    upcast *everything* (including float32) to float64: a floating dtype
-    is now preserved so single-precision operands run single-precision
-    end to end (see ``docs/performance.md``); only integer/bool inputs
-    are promoted.
-    """
-    h = np.asarray(h)
-    if h.dtype.kind != "f":
-        h = h.astype(np.float64)
-    return h

@@ -1,8 +1,10 @@
 """Graph datasets, generators and adjacency utilities.
 
 The paper's evaluation graphs (Reddit, Amazon, Protein, Papers) are
-reproduced as synthetic stand-ins with the same character; see
-:mod:`repro.graphs.generators` and DESIGN.md for the substitution notes.
+reproduced as synthetic, deterministically seeded stand-ins with the same
+character.  :mod:`repro.graphs.datasets` builds them (``PAPER_SPECS`` holds
+the paper's Table 3 sizes) and :mod:`repro.graphs.generators` explains why
+each generator was chosen.
 """
 
 from .adjacency import (add_self_loops, degrees, gcn_normalize, is_symmetric,
@@ -16,7 +18,6 @@ from .generators import (chung_lu_graph, community_ring_graph,
                          erdos_renyi_graph, grid_graph,
                          preferential_attachment_graph, remove_self_loops,
                          rmat_graph, symmetrize)
-from .io import load_dataset_file, load_partition, save_dataset, save_partition
 
 __all__ = [
     "add_self_loops", "degrees", "gcn_normalize", "is_symmetric",
@@ -29,5 +30,4 @@ __all__ = [
     "chung_lu_graph", "community_ring_graph", "erdos_renyi_graph",
     "grid_graph", "preferential_attachment_graph", "remove_self_loops",
     "rmat_graph", "symmetrize",
-    "load_dataset_file", "load_partition", "save_dataset", "save_partition",
 ]

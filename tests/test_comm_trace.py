@@ -8,7 +8,7 @@ import pytest
 from repro.comm import (chrome_trace, make_communicator, overlap_analysis,
                         save_chrome_trace)
 from repro.core import (BlockRowDistribution, DistDenseMatrix, DistSparseMatrix,
-                        spmm_1d_oblivious, spmm_1d_sparsity_aware)
+                        spmm)
 from repro.graphs import erdos_renyi_graph, gcn_normalize
 
 
@@ -21,7 +21,7 @@ def run_sa():
     h = np.random.default_rng(0).normal(size=(32, 4))
     dense = DistDenseMatrix.from_global(h, dist)
     comm = make_communicator(4, machine="perlmutter")
-    spmm_1d_sparsity_aware(matrix, dense, comm)
+    spmm(matrix, dense, comm, algorithm="1d", sparsity_aware=True)
     return comm
 
 
@@ -84,7 +84,7 @@ class TestOverlapAnalysis:
         h = np.random.default_rng(1).normal(size=(48, 32))
         dense = DistDenseMatrix.from_global(h, dist)
         comm = make_communicator(8, machine="perlmutter")
-        spmm_1d_oblivious(matrix, dense, comm)
+        spmm(matrix, dense, comm, algorithm="1d", sparsity_aware=False)
         report = overlap_analysis(comm)
         assert report.communication_s > report.compute_s
         assert report.perfect_overlap_s >= report.communication_s * 0.99

@@ -10,7 +10,10 @@ The contract under test (see ``docs/performance.md``):
 * float32 plans produce float32 results within single-precision tolerance
   of the float64 run, at exactly half the exchanged volume;
 * the process backend's plan cache replays repeated same-shape exchanges
-  correctly, and invalidates itself when an arena regrows.
+  correctly, and invalidates itself when an arena regrows;
+* one-shot dispatch (``spmm``, ``SpmmEngine.run`` and the
+  ``DistributedGCN.spmm`` fallback) behaves the same with tracing on: an
+  unchanged result and one ``spmm`` span naming the variant.
 """
 
 import numpy as np
@@ -19,11 +22,13 @@ import pytest
 from repro.comm import make_communicator
 from repro.core import (BlockRowDistribution, DistDenseMatrix,
                         DistSparseMatrix, Dist2DSparseMatrix, Grid2D,
-                        ProcessGrid, available_spmm_variants, spmm)
+                        ProcessGrid, SpmmEngine, available_spmm_variants,
+                        spmm)
 from repro.core.engine import CompiledSpmm, DenseSpec, compile as compile_spmm
 from repro.core.memory import measure_dist_matrix_bytes
 from repro.graphs import gcn_normalize
 from repro.graphs.generators import erdos_renyi_graph
+from repro.obs import TRACE
 
 N, F, P = 48, 6, 4
 BACKENDS = ("sim", "threaded", "process")
@@ -115,6 +120,74 @@ class TestCompiledMatchesUncompiled:
             assert comm.elapsed() == t_ref
             assert comm.events.total_bytes() == bytes_ref
             assert comm.events.message_count() == msgs_ref
+
+
+@pytest.fixture()
+def tracing():
+    TRACE.clear()
+    TRACE.enable()
+    yield TRACE
+    TRACE.disable()
+    TRACE.clear()
+
+
+def _spmm_span_args(tracer):
+    return [args for _, name, _, _, _, args in tracer.spans()
+            if name == "spmm"]
+
+
+class TestTracedOneShot:
+    """One-shot dispatch compiles the registered class and calls it, so a
+    traced call records the same ``spmm`` span a compiled plan does."""
+
+    @pytest.mark.parametrize("algorithm,mode", VARIANTS)
+    def test_traced_matches_untraced(self, problem, tracing, algorithm,
+                                     mode):
+        adj, h_a, _ = problem
+        matrix, grid, wrap, unwrap = _operands(algorithm, adj)
+        sparsity_aware = mode == "sparsity_aware"
+        tracing.disable()
+        with make_communicator(P) as comm:
+            ref = unwrap(spmm(matrix, wrap(h_a), comm, algorithm=algorithm,
+                              sparsity_aware=sparsity_aware, grid=grid))
+        tracing.enable()
+        with make_communicator(P) as comm:
+            got = unwrap(spmm(matrix, wrap(h_a), comm, algorithm=algorithm,
+                              sparsity_aware=sparsity_aware, grid=grid))
+            engine = SpmmEngine(comm, algorithm=algorithm,
+                                sparsity_aware=sparsity_aware, grid=grid)
+            got_engine = unwrap(engine.run(matrix, wrap(h_a)))
+        np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(got_engine, ref)
+        spans = _spmm_span_args(tracing)
+        assert len(spans) == 2
+        for args in spans:
+            assert (args["algorithm"], args["mode"]) == (algorithm, mode)
+            assert args["width"] == F
+
+    def test_model_fallback_traced(self, tracing):
+        from repro.core import DistTrainConfig, setup_distributed
+        from repro.graphs import load_dataset
+        tracing.disable()
+        ds = load_dataset("reddit", scale=0.05, n_features=12, n_classes=4,
+                          seed=11)
+        setup = setup_distributed(ds, DistTrainConfig(
+            n_ranks=4, epochs=1, partitioner=None))
+        with setup.comm:
+            model = setup.model
+            odd_width = max(model.layer_dims) + 3
+            assert odd_width not in model.compiled_widths()
+            h = np.random.default_rng(5).normal(size=(model.dist.n,
+                                                      odd_width))
+            dense = DistDenseMatrix.from_global(h, model.dist)
+            ref = model.spmm(dense).to_global()
+            tracing.enable()
+            got = model.spmm(dense).to_global()
+            assert odd_width not in model.compiled_widths()
+        np.testing.assert_array_equal(got, ref)
+        [args] = _spmm_span_args(tracing)
+        assert (args["algorithm"], args["mode"], args["width"]) == \
+            (model.engine.algorithm, model.engine.mode, odd_width)
 
 
 class TestWorkspaceReuse:

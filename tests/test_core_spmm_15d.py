@@ -5,8 +5,7 @@ import pytest
 
 from repro.comm import make_communicator
 from repro.core import (BlockRowDistribution, DistDenseMatrix, DistSparseMatrix,
-                        ProcessGrid, spmm_15d_oblivious, spmm_15d_sparsity_aware,
-                        spmm_1d_sparsity_aware)
+                        ProcessGrid, spmm)
 from repro.graphs import gcn_normalize
 from repro.graphs.generators import erdos_renyi_graph
 
@@ -66,7 +65,8 @@ class TestCorrectness:
         grid = ProcessGrid(nranks=p, replication=c)
         adj, dm, dh, h = make_problem(n=64, nblocks=grid.nrows, seed=1)
         comm = make_communicator(p)
-        result = spmm_15d_oblivious(dm, dh, grid, comm)
+        result = spmm(dm, dh, comm, algorithm="1.5d", sparsity_aware=False,
+                      grid=grid)
         np.testing.assert_allclose(result.to_global(), adj @ h, atol=1e-10)
 
     @pytest.mark.parametrize("p,c", [(4, 1), (4, 2), (8, 2), (16, 2), (16, 4)])
@@ -74,7 +74,8 @@ class TestCorrectness:
         grid = ProcessGrid(nranks=p, replication=c)
         adj, dm, dh, h = make_problem(n=64, nblocks=grid.nrows, seed=2)
         comm = make_communicator(p)
-        result = spmm_15d_sparsity_aware(dm, dh, grid, comm)
+        result = spmm(dm, dh, comm, algorithm="1.5d", sparsity_aware=True,
+                      grid=grid)
         np.testing.assert_allclose(result.to_global(), adj @ h, atol=1e-10)
 
     def test_15d_c1_matches_1d(self):
@@ -83,21 +84,25 @@ class TestCorrectness:
         p = 4
         grid = ProcessGrid(nranks=p, replication=1)
         adj, dm, dh, h = make_problem(n=48, nblocks=p, seed=3)
-        a = spmm_15d_sparsity_aware(dm, dh, grid, make_communicator(p))
-        b = spmm_1d_sparsity_aware(dm, dh, make_communicator(p))
+        a = spmm(dm, dh, make_communicator(p), algorithm="1.5d",
+                 sparsity_aware=True, grid=grid)
+        b = spmm(dm, dh, make_communicator(p), algorithm="1d",
+                 sparsity_aware=True)
         np.testing.assert_allclose(a.to_global(), b.to_global(), atol=1e-10)
 
     def test_grid_matrix_mismatch_rejected(self):
         grid = ProcessGrid(nranks=8, replication=2)   # 4 block rows
         adj, dm, dh, h = make_problem(n=64, nblocks=8, seed=0)
         with pytest.raises(ValueError):
-            spmm_15d_oblivious(dm, dh, grid, make_communicator(8))
+            spmm(dm, dh, make_communicator(8), algorithm="1.5d",
+                 sparsity_aware=False, grid=grid)
 
     def test_comm_size_mismatch_rejected(self):
         grid = ProcessGrid(nranks=8, replication=2)
         adj, dm, dh, h = make_problem(n=64, nblocks=4, seed=0)
         with pytest.raises(ValueError):
-            spmm_15d_sparsity_aware(dm, dh, grid, make_communicator(4))
+            spmm(dm, dh, make_communicator(4), algorithm="1.5d",
+                 sparsity_aware=True, grid=grid)
 
 
 class TestCommunicationBehaviour:
@@ -106,8 +111,9 @@ class TestCommunicationBehaviour:
         adj, dm, dh, _ = make_problem(n=96, nblocks=4, seed=4)
         comm_ob = make_communicator(8)
         comm_sa = make_communicator(8)
-        spmm_15d_oblivious(dm, dh, grid, comm_ob)
-        spmm_15d_sparsity_aware(dm, dh, grid, comm_sa)
+        spmm(dm, dh, comm_ob, algorithm="1.5d", sparsity_aware=False,
+             grid=grid)
+        spmm(dm, dh, comm_sa, algorithm="1.5d", sparsity_aware=True, grid=grid)
         assert comm_sa.stats.total_bytes("alltoall") <= \
             comm_ob.stats.total_bytes("bcast")
 
@@ -116,8 +122,9 @@ class TestCommunicationBehaviour:
         adj, dm, dh, _ = make_problem(n=96, nblocks=4, seed=5)
         comm_ob = make_communicator(8)
         comm_sa = make_communicator(8)
-        spmm_15d_oblivious(dm, dh, grid, comm_ob)
-        spmm_15d_sparsity_aware(dm, dh, grid, comm_sa)
+        spmm(dm, dh, comm_ob, algorithm="1.5d", sparsity_aware=False,
+             grid=grid)
+        spmm(dm, dh, comm_sa, algorithm="1.5d", sparsity_aware=True, grid=grid)
         assert comm_ob.stats.total_bytes("allreduce") == \
             comm_sa.stats.total_bytes("allreduce")
         assert comm_ob.stats.total_bytes("allreduce") > 0
@@ -126,7 +133,7 @@ class TestCommunicationBehaviour:
         grid = ProcessGrid(nranks=4, replication=1)
         adj, dm, dh, _ = make_problem(n=48, nblocks=4, seed=6)
         comm = make_communicator(4)
-        spmm_15d_sparsity_aware(dm, dh, grid, comm)
+        spmm(dm, dh, comm, algorithm="1.5d", sparsity_aware=True, grid=grid)
         # A single-member group all-reduce moves no data.
         assert comm.stats.total_bytes("allreduce") == 0
 
@@ -143,6 +150,7 @@ class TestCommunicationBehaviour:
             dm = DistSparseMatrix(adj, dist)
             dh = DistDenseMatrix.from_global(h, dist)
             comm = make_communicator(nranks)
-            spmm_15d_oblivious(dm, dh, grid, comm)
+            spmm(dm, dh, comm, algorithm="1.5d", sparsity_aware=False,
+                 grid=grid)
             volumes[c] = comm.stats.total_bytes("bcast")
         assert volumes[2] < volumes[1]

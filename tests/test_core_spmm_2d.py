@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.comm import make_communicator
-from repro.core import (Dist2DSparseMatrix, Grid2D, spmm_2d_oblivious,
-                        spmm_2d_sparsity_aware)
+from repro.core import Dist2DSparseMatrix, Grid2D, spmm
 from repro.graphs import erdos_renyi_graph, gcn_normalize
 
 
@@ -73,14 +72,16 @@ class TestCorrectness:
         grid = Grid2D(pr, pc)
         matrix = Dist2DSparseMatrix.uniform(graph, grid)
         comm = make_communicator(grid.nranks, machine="perlmutter")
-        out = spmm_2d_oblivious(matrix, dense, grid, comm)
+        out = spmm(matrix, dense, comm, algorithm="2d", sparsity_aware=False,
+                   grid=grid)
         np.testing.assert_allclose(out, graph @ dense, atol=1e-9)
 
     def test_sparsity_aware_matches_direct(self, graph, dense, pr, pc):
         grid = Grid2D(pr, pc)
         matrix = Dist2DSparseMatrix.uniform(graph, grid)
         comm = make_communicator(grid.nranks, machine="perlmutter")
-        out = spmm_2d_sparsity_aware(matrix, dense, grid, comm)
+        out = spmm(matrix, dense, comm, algorithm="2d", sparsity_aware=True,
+                   grid=grid)
         np.testing.assert_allclose(out, graph @ dense, atol=1e-9)
 
 
@@ -92,11 +93,13 @@ class TestCommunicationAccounting:
         matrix = Dist2DSparseMatrix.uniform(graph, grid)
 
         comm_obl = make_communicator(grid.nranks, machine="perlmutter")
-        spmm_2d_oblivious(matrix, dense, grid, comm_obl)
+        spmm(matrix, dense, comm_obl, algorithm="2d", sparsity_aware=False,
+             grid=grid)
         gather_bytes = comm_obl.events.total_bytes(category="bcast")
 
         comm_sa = make_communicator(grid.nranks, machine="perlmutter")
-        spmm_2d_sparsity_aware(matrix, dense, grid, comm_sa)
+        spmm(matrix, dense, comm_sa, algorithm="2d", sparsity_aware=True,
+             grid=grid)
         exchange_bytes = comm_sa.events.total_bytes(category="alltoall")
 
         assert exchange_bytes <= gather_bytes
@@ -105,9 +108,10 @@ class TestCommunicationAccounting:
         grid = Grid2D(2, 2)
         matrix = Dist2DSparseMatrix.uniform(graph, grid)
         comms = []
-        for fn in (spmm_2d_oblivious, spmm_2d_sparsity_aware):
+        for aware in (False, True):
             comm = make_communicator(grid.nranks, machine="perlmutter")
-            fn(matrix, dense, grid, comm)
+            spmm(matrix, dense, comm, algorithm="2d", sparsity_aware=aware,
+                 grid=grid)
             comms.append(comm.events.total_bytes(category="allreduce"))
         assert comms[0] == comms[1]
 
@@ -115,7 +119,8 @@ class TestCommunicationAccounting:
         grid = Grid2D(4, 1)
         matrix = Dist2DSparseMatrix.uniform(graph, grid)
         comm = make_communicator(4, machine="perlmutter")
-        out = spmm_2d_sparsity_aware(matrix, dense, grid, comm)
+        out = spmm(matrix, dense, comm, algorithm="2d", sparsity_aware=True,
+                   grid=grid)
         np.testing.assert_allclose(out, graph @ dense, atol=1e-9)
         assert comm.events.total_bytes(category="allreduce") == 0
 
@@ -125,17 +130,20 @@ class TestValidation:
         matrix = Dist2DSparseMatrix.uniform(graph, Grid2D(2, 2))
         comm = make_communicator(4)
         with pytest.raises(ValueError):
-            spmm_2d_oblivious(matrix, dense, Grid2D(4, 1), comm)
+            spmm(matrix, dense, comm, algorithm="2d", sparsity_aware=False,
+                 grid=Grid2D(4, 1))
 
     def test_mismatched_comm(self, graph, dense):
         grid = Grid2D(2, 2)
         matrix = Dist2DSparseMatrix.uniform(graph, grid)
         with pytest.raises(ValueError):
-            spmm_2d_sparsity_aware(matrix, dense, grid, make_communicator(3))
+            spmm(matrix, dense, make_communicator(3), algorithm="2d",
+                 sparsity_aware=True, grid=grid)
 
     def test_mismatched_dense(self, graph):
         grid = Grid2D(2, 2)
         matrix = Dist2DSparseMatrix.uniform(graph, grid)
         comm = make_communicator(4)
         with pytest.raises(ValueError):
-            spmm_2d_oblivious(matrix, np.ones((5, 2)), grid, comm)
+            spmm(matrix, np.ones((5, 2)), comm, algorithm="2d",
+                 sparsity_aware=False, grid=grid)

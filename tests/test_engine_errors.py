@@ -14,8 +14,9 @@ from repro.comm import make_communicator
 from repro.core import (BlockRowDistribution, DistDenseMatrix,
                         DistSparseMatrix, Dist2DSparseMatrix, DistTrainConfig,
                         Grid2D, ProcessGrid, SpmmEngine, spmm)
-from repro.core.engine import (check_block_operands, check_grid_operands,
-                               check_grid2d_operands, get_spmm, register_spmm)
+from repro.core.engine import (CompiledSpmm, check_block_operands,
+                               check_grid_operands, check_grid2d_operands,
+                               get_spmm, register_spmm)
 from repro.graphs import gcn_normalize
 from repro.graphs.generators import erdos_renyi_graph
 
@@ -62,8 +63,12 @@ class TestUnknownNames:
             DistTrainConfig(algorithm="2.5d")
 
     def test_duplicate_registration_rejected(self):
+        class Duplicate1D(CompiledSpmm):
+            pass
+
         with pytest.raises(ValueError, match="already registered"):
-            register_spmm("1d", "oblivious")(lambda *a, **k: None)
+            register_spmm("1d", "oblivious")(Duplicate1D)
+        assert get_spmm("1d", sparsity_aware=False).cls is not Duplicate1D
 
     def test_bad_mode_registration_rejected(self):
         with pytest.raises(ValueError, match="mode"):

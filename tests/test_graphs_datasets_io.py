@@ -1,11 +1,10 @@
-"""Tests for the dataset registry and .npz I/O."""
+"""Tests for the dataset registry."""
 
 import numpy as np
 import pytest
 
 from repro.graphs import (DATASET_NAMES, PAPER_SPECS, dataset_summary,
-                          load_dataset, load_dataset_file, load_partition,
-                          save_dataset, save_partition)
+                          load_dataset)
 
 
 class TestRegistry:
@@ -79,39 +78,3 @@ class TestLoadDataset:
                     "paper_vertices", "paper_edges"):
             assert key in row
         assert row["paper_vertices"] == PAPER_SPECS["protein"].vertices
-
-
-class TestIO:
-    def test_dataset_roundtrip(self, tmp_path):
-        ds = load_dataset("reddit", scale=0.05, n_features=7, n_classes=3,
-                          seed=1)
-        path = save_dataset(ds, tmp_path / "reddit_small.npz")
-        loaded = load_dataset_file(path)
-        assert loaded.name == "reddit"
-        assert (loaded.adjacency != ds.adjacency).nnz == 0
-        np.testing.assert_allclose(loaded.node_data.features,
-                                   ds.node_data.features)
-        np.testing.assert_array_equal(loaded.node_data.labels,
-                                      ds.node_data.labels)
-        np.testing.assert_array_equal(loaded.node_data.test_mask,
-                                      ds.node_data.test_mask)
-
-    def test_load_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_dataset_file(tmp_path / "nope.npz")
-
-    def test_partition_roundtrip(self, tmp_path):
-        parts = np.array([0, 1, 2, 1, 0], dtype=np.int64)
-        path = save_partition(parts, 3, tmp_path / "parts.npz")
-        loaded, nparts = load_partition(path)
-        np.testing.assert_array_equal(loaded, parts)
-        assert nparts == 3
-
-    def test_partition_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_partition(tmp_path / "missing.npz")
-
-    def test_partition_rejects_corrupt_range(self, tmp_path):
-        path = save_partition(np.array([0, 5]), 3, tmp_path / "bad.npz")
-        with pytest.raises(ValueError):
-            load_partition(path)
